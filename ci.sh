@@ -14,6 +14,10 @@ run() {
 run cargo build --release --workspace --offline --locked
 run cargo test -q --workspace --offline --locked
 run cargo test -q --doc --workspace --offline --locked
+# The benchmark is its own workspace (benchmark/Cargo.toml) built against
+# the library crates' public API: building and unit-testing it here turns
+# an API change that breaks it into a CI failure.
+run cargo test -q --offline --locked --manifest-path benchmark/Cargo.toml
 run cargo fmt --all --check
 run cargo clippy --workspace --all-targets --offline --locked -- -D warnings
 RUSTDOCFLAGS="-D warnings" run cargo doc --no-deps --workspace --offline --locked

@@ -14,7 +14,7 @@
 //!   checksum verification on both paths;
 //! * **sampler draws/sec** — RNS (the O(1) floor) and BNS (the paper's
 //!   linear-in-catalog sampler) through the real `sample_pair` path;
-//! * **serve queries/sec** — the work-stealing engine over the mapped
+//! * **serve queries/sec** — the multi-threaded engine over the mapped
 //!   artifact, Zipf-skewed traffic, p50/p99 per tier — exhaustive scan
 //!   **and** the IVF probe path at the default width, with measured
 //!   recall@10 and the speedup pinned next to each other. The item table

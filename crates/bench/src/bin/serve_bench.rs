@@ -347,7 +347,7 @@ fn main() {
     ));
     let exact_qps = report.queries_per_sec();
 
-    // Multi-thread work-stealing run — the acceptance configuration.
+    // Multi-thread run — the acceptance configuration.
     let engine = QueryEngine::new(loaded.clone());
     engine.serve(&warm, args.threads).expect("warm-up");
     let report = engine

@@ -3,7 +3,7 @@
 //! This crate holds no runtime code — its value is the integration tests
 //! under `tests/`, which drive the deterministic interleaving scheduler in
 //! [`bns_sync::model`] against the protocols the serve and training paths
-//! rely on: work-stealing claim exclusivity, hogwild store/load integrity,
+//! rely on: claim-cursor exclusivity, hogwild store/load integrity,
 //! the cache-generation swap protocol, and `PosteriorStats` merges.
 //!
 //! The scenarios are gated behind `--cfg bns_model_check` (so they compile

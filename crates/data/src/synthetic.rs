@@ -374,6 +374,9 @@ struct EmitScratch {
     item_vec: Vec<f32>,
     utilities: Vec<(f64, u32)>,
     pool: Vec<u32>,
+    /// Pool membership by item id (pooled regime only). All `false`
+    /// between rows.
+    drawn: Vec<bool>,
     row: Vec<u32>,
 }
 
@@ -439,6 +442,7 @@ impl PlantedModel {
             item_vec: vec![0f32; d],
             utilities: Vec::new(),
             pool: Vec::new(),
+            drawn: Vec::new(),
             row: Vec::new(),
         }
     }
@@ -481,31 +485,40 @@ impl PlantedModel {
             // Pooled regime: distinct popularity-proposal candidates …
             let target = (k * self.oversample as usize).min(cfg.n_items as usize);
             let mut rng = StdRng::seed_from_u64(mix(cfg.seed, SALT_POOL, u as u64, 0));
+            // Distinct draws in first-seen order. `drawn` marks membership,
+            // so no burst has to re-sort the pool to drop repeats; the pool
+            // is sorted once, after the fill.
+            scratch.drawn.resize(cfg.n_items as usize, false);
             scratch.pool.clear();
             let max_draws = 32 * target + 256;
             let mut draws = 0usize;
             while scratch.pool.len() < target && draws < max_draws {
                 let burst = target - scratch.pool.len();
                 for _ in 0..burst.max(8) {
-                    scratch.pool.push(alias.sample(&mut rng) as u32);
+                    let i = alias.sample(&mut rng) as u32;
                     draws += 1;
+                    if !std::mem::replace(&mut scratch.drawn[i as usize], true) {
+                        scratch.pool.push(i);
+                    }
                 }
-                scratch.pool.sort_unstable();
-                scratch.pool.dedup();
             }
             // Deterministic fill if Zipf collisions starved the pool (only
-            // reachable when k·oversample approaches the catalog size).
+            // reachable when k·oversample approaches the catalog size):
+            // the lowest ids not drawn.
             if scratch.pool.len() < target {
                 for i in 0..cfg.n_items {
-                    if scratch.pool.binary_search(&i).is_err() {
+                    if !scratch.drawn[i as usize] {
                         scratch.pool.push(i);
                         if scratch.pool.len() >= target {
                             break;
                         }
                     }
                 }
-                scratch.pool.sort_unstable();
             }
+            for &i in &scratch.pool {
+                scratch.drawn[i as usize] = false;
+            }
+            scratch.pool.sort_unstable();
             // … scored with importance-corrected logits. Subtracting the
             // log inclusion probability ln π_i, π_i = 1 − (1 − q_i)^m over
             // the m proposal draws, approximately cancels the popularity
@@ -800,6 +813,64 @@ mod tests {
             expected_user += 1;
         }
         assert_eq!(expected_user, 60);
+    }
+
+    /// FNV-1a over the little-endian CSR: shape, then each row's length
+    /// and ids.
+    fn csr_digest(x: &Interactions) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut eat = |v: u32| {
+            for b in v.to_le_bytes() {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        eat(x.n_users());
+        eat(x.n_items());
+        for u in 0..x.n_users() {
+            let row = x.items_of(u);
+            eat(row.len() as u32);
+            row.iter().for_each(|&i| eat(i));
+        }
+        h
+    }
+
+    #[test]
+    fn pool_fill_keeps_rows_strictly_ascending_at_scale() {
+        // Mean activity 2,500 makes k·oversample approach the catalog, so
+        // the deterministic fill runs; it used to re-add drawn ids.
+        let cfg = SyntheticConfig {
+            n_users: 2_000,
+            n_items: 50_000,
+            target_interactions: 2_000 * 50_000 / 20,
+            seed: 41,
+            ..SyntheticConfig::default()
+        };
+        let mut stream = RowStream::new(&cfg).unwrap();
+        assert!(matches!(stream.emission(), EmissionMode::Pooled { .. }));
+        while let Some((u, row)) = stream.next_row() {
+            assert!(
+                row.windows(2).all(|w| w[0] < w[1]),
+                "row of user {u} not strictly ascending"
+            );
+        }
+    }
+
+    #[test]
+    fn pooled_dataset_matches_golden_digest() {
+        // A pooled-regime config whose pool fill runs for 20 users yet
+        // generated without error before the fill fix: the fix must leave
+        // such datasets bitwise unchanged.
+        let cfg = SyntheticConfig {
+            n_users: 300,
+            n_items: 5_000,
+            target_interactions: 300 * 600,
+            seed: 7,
+            ..SyntheticConfig::default()
+        };
+        let x = generate_streamed(&cfg).unwrap();
+        assert_eq!(x.len(), 188_146);
+        assert_eq!(csr_digest(&x), 0x277a_9de4_0643_abe8);
     }
 
     #[test]

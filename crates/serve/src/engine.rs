@@ -1,21 +1,13 @@
-//! The multi-threaded request loop: scoped workers over a work-stealing
-//! request queue.
+//! The multi-threaded request loop: scoped workers over one shared claim
+//! cursor.
 //!
-//! A request batch is split into one contiguous shard per worker, each
-//! with an atomic claim cursor. A worker drains its own shard first
-//! (cache-friendly: its requests are adjacent), then **steals** from the
-//! other shards' cursors until every shard is exhausted — the same
-//! shard-then-steal structure as a classic work-stealing deque, built from
-//! nothing but `AtomicUsize::fetch_add`. Skewed request costs (cache hits
-//! vs full GEMV queries, hot vs cold users) therefore cannot strand work
-//! behind a slow shard.
-//!
-//! Each claim drains up to [`QueryEngine::coalesce`] **adjacent** requests
-//! in one `ClaimCursor::claim_many` RMW; multi-request runs go through
-//! [`QueryEngine::top_k_batch_into`], which scores exact-mode misses as
-//! one blocked multi-user GEMM. Coalescing changes throughput and the
-//! latency distribution (a coalesced request's latency is its batch's
-//! wall time), never answers.
+//! Every worker claims the next unanswered request with one
+//! `ClaimCursor::claim` (an atomic `fetch_add`), answers it with
+//! [`QueryEngine::top_k_into`] and claims again until the batch is
+//! exhausted. Claiming one request at a time is already dynamic load
+//! balancing: skewed request costs (cache hits vs full GEMV queries, hot
+//! vs cold users) cannot strand work behind a slow worker, because an idle
+//! worker simply takes the next index.
 //!
 //! Scheduling never changes answers: each request is claimed by exactly
 //! one worker, computed with that worker's private [`QueryScratch`], and
@@ -27,11 +19,10 @@
 //! no throughput but push the latency tail out by the scheduler timeslice
 //! — a preempted worker holds its claimed request for a full quantum
 //! (~10ms under default CFS), which is three orders of magnitude above a
-//! normal query. Each shard cursor lives on its own cache line
-//! ([`CachePadded`]) so claims on different shards never contend.
+//! normal query.
 
 use crate::query::{QueryEngine, QueryScratch};
-use bns_sync::{CachePadded, ClaimCursor};
+use bns_sync::ClaimCursor;
 use std::time::Instant;
 
 /// One top-k query: `user`, cutoff `k`, and whether the user's frozen
@@ -94,7 +85,7 @@ impl ServeReport {
     }
 }
 
-/// Runs the sharded work-stealing loop. Requests must be pre-validated
+/// Runs the shared-cursor request loop. Requests must be pre-validated
 /// (the engine's public `serve` wrapper does); a worker panics on an
 /// invalid user rather than dropping the request silently.
 pub(crate) fn serve_parallel(
@@ -117,93 +108,40 @@ pub(crate) fn serve_parallel(
     // scheduler quantum per involuntary context switch.
     let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
     let n_threads = n_threads.max(1).min(n).min(cores);
-    let chunk = n.div_ceil(n_threads);
-    // Shard s covers [s·chunk, min((s+1)·chunk, n)); cursor s is the next
-    // unclaimed index in that shard. ClaimCursor claims are exclusive, so
-    // every request is answered exactly once (pinned across interleavings
-    // by the bns-check `steal` scenarios); overshoot past the shard end is
-    // bounded by one failed claim per visiting worker.
-    let bounds: Vec<(usize, usize)> = (0..n_threads)
-        .map(|s| (s * chunk, ((s + 1) * chunk).min(n)))
-        .collect();
-    let cursors: Vec<CachePadded<ClaimCursor>> = bounds
-        .iter()
-        .map(|&(lo, _)| CachePadded::new(ClaimCursor::new(lo)))
-        .collect();
+    // ClaimCursor claims are exclusive, so every request is answered
+    // exactly once (pinned across interleavings by the bns-check `steal`
+    // scenarios); each worker overshoots the end by one failed claim.
+    let cursor = ClaimCursor::new(0);
 
     let started = Instant::now();
     let mut parts: Vec<Vec<(usize, RankedList)>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..n_threads)
-            .map(|w| {
-                let cursors = &cursors;
-                let bounds = &bounds;
+            .map(|_| {
+                let cursor = &cursor;
                 scope.spawn(move || {
-                    let batch = engine.coalesce();
                     let mut scratch = QueryScratch::new();
                     let mut local: Vec<(usize, RankedList)> = Vec::new();
-                    let mut outs: Vec<Vec<u32>> = Vec::new();
-                    for visit in 0..n_threads {
-                        let shard = (w + visit) % n_threads;
-                        let (_, end) = bounds[shard];
-                        loop {
-                            // One claim grabs up to `batch` adjacent
-                            // requests; the run is truncated at the shard
-                            // end, so a thief's overshoot still wastes at
-                            // most one claim.
-                            let start = cursors[shard].claim_many(batch);
-                            if start >= end {
-                                break;
-                            }
-                            let run = &requests[start..(start + batch).min(end)];
-                            if run.len() == 1 {
-                                let r = run[0];
-                                // Allocate the answer buffer before
-                                // starting the clock: latency_ns measures
-                                // the query, not the allocator.
-                                let mut items = Vec::with_capacity(r.k);
-                                let t0 = Instant::now();
-                                engine
-                                    .top_k_into(
-                                        r.user,
-                                        r.k,
-                                        r.exclude_seen,
-                                        &mut scratch,
-                                        &mut items,
-                                    )
-                                    .expect("requests validated before serve_parallel");
-                                local.push((
-                                    start,
-                                    RankedList {
-                                        user: r.user,
-                                        items,
-                                        latency_ns: t0.elapsed().as_nanos() as u64,
-                                    },
-                                ));
-                            } else {
-                                outs.clear();
-                                outs.extend(run.iter().map(|r| Vec::with_capacity(r.k)));
-                                let t0 = Instant::now();
-                                engine
-                                    .top_k_batch_into(run, &mut scratch, &mut outs)
-                                    .expect("requests validated before serve_parallel");
-                                // Coalesced requests share the batch's
-                                // wall time: each waited for the whole
-                                // blocked GEMM, so that *is* its service
-                                // latency.
-                                let elapsed = t0.elapsed().as_nanos() as u64;
-                                for (off, (r, items)) in run.iter().zip(outs.drain(..)).enumerate()
-                                {
-                                    local.push((
-                                        start + off,
-                                        RankedList {
-                                            user: r.user,
-                                            items,
-                                            latency_ns: elapsed,
-                                        },
-                                    ));
-                                }
-                            }
-                        }
+                    loop {
+                        let idx = cursor.claim();
+                        let Some(&r) = requests.get(idx) else {
+                            break;
+                        };
+                        // Allocate the answer buffer before starting the
+                        // clock: latency_ns measures the query, not the
+                        // allocator.
+                        let mut items = Vec::with_capacity(r.k);
+                        let t0 = Instant::now();
+                        engine
+                            .top_k_into(r.user, r.k, r.exclude_seen, &mut scratch, &mut items)
+                            .expect("requests validated before serve_parallel");
+                        local.push((
+                            idx,
+                            RankedList {
+                                user: r.user,
+                                items,
+                                latency_ns: t0.elapsed().as_nanos() as u64,
+                            },
+                        ));
                     }
                     local
                 })

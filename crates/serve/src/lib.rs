@@ -23,9 +23,8 @@
 //!   An [`IndexMode`] knob picks exhaustive scoring (bitwise-exact) or
 //!   IVF probing (recall-gated approximate).
 //! * [`engine`] — the multi-threaded request loop: `std::thread::scope`
-//!   workers draining a sharded work-stealing queue of [`Request`]s — up
-//!   to a configurable batch per claim, scored as one blocked multi-user
-//!   GEMM — recording per-request latency into a [`ServeReport`].
+//!   workers claiming [`Request`]s one at a time from a shared cursor,
+//!   recording per-request latency into a [`ServeReport`].
 //! * [`cache`] — [`TopKCache`]: an optional generation-stamped LRU for
 //!   repeated-user traffic; one [`QueryEngine::swap_artifact`] bump
 //!   invalidates every cached list without touching the map.
@@ -50,10 +49,9 @@
 //!
 //! Serving is **bitwise deterministic given an artifact**: the engine only
 //! reads frozen tables through the fixed-summation-order kernel, ties
-//! break toward lower item ids (`bns_eval::topk`), and the work-stealing
+//! break toward lower item ids (`bns_eval::topk`), and the shared-cursor
 //! scheduler affects only *which thread* answers a request, never the
-//! answer — request coalescing included, because the blocked GEMM emits
-//! the same kernel dots as the one-at-a-time path. The only
+//! answer. The only
 //! nondeterminism in the subsystem is upstream: hogwild training produces
 //! run-dependent tables; freezing any table makes every downstream query
 //! of it reproducible. The IVF path is equally deterministic — its

@@ -10,14 +10,13 @@
 //! | Type | Protocol | Orderings |
 //! |------|----------|-----------|
 //! | [`AtomicF32Cell`] | hogwild embedding tables: racy-by-design reads and writes of f32 bit patterns | `Relaxed` load/store |
-//! | [`ClaimCursor`] | work-stealing claim loops: exclusivity comes from RMW atomicity alone | `Relaxed` `fetch_add` |
+//! | [`ClaimCursor`] | shared claim loops: exclusivity comes from RMW atomicity alone | `Relaxed` `fetch_add` |
 //! | [`Generation`] | cache-invalidation epochs: the bump publishes "a new artifact is live" | `Release` bump / `Acquire` read |
 //! | [`Counter`] | statistics (hit/lookup counts) that no control flow depends on | `Relaxed` |
 //! | [`PoisonFlag`] | sticky cross-thread failure latch | `Release` set / `Acquire` read |
 //! | [`Mutex`] | plain mutual exclusion, modeled under the checker | n/a |
 //! | [`RwLock`] | read-mostly shared state with rare exclusive swaps (the serve hot-swap protocol) | n/a |
 //! | [`LatencyHistogram`] | fixed log-bucket latency statistics: one relaxed RMW per sample, no clock inside | `Relaxed` |
-//! | [`CachePadded`] | layout shim: gives each element of an array of contended atomics its own cache line | n/a |
 //!
 //! Narrowing the API is the point: a call site cannot pick a wrong ordering
 //! because the ordering is baked into the type, and a new protocol needs a
@@ -44,7 +43,6 @@ mod generation;
 mod histogram;
 pub mod model;
 mod mutex;
-mod padded;
 mod rwlock;
 
 pub use cell::AtomicF32Cell;
@@ -54,5 +52,4 @@ pub use flag::PoisonFlag;
 pub use generation::Generation;
 pub use histogram::{HistogramSnapshot, LatencyHistogram, HISTOGRAM_BUCKETS};
 pub use mutex::{Mutex, MutexGuard};
-pub use padded::CachePadded;
 pub use rwlock::{ReadGuard, RwLock, WriteGuard};

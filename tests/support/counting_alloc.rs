@@ -8,15 +8,8 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-// lint:allow(atomic-import) — the global allocator must not route through
-// instrumented workspace types: a bns-sync facade call could itself
-// allocate (model-check op logs) or take a schedule point, deadlocking the
-// allocator. A raw relaxed counter is the only safe shape here.
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 struct CountingAllocator;
-
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
 
 thread_local! {
     /// Only allocations made on a thread that opted in are counted. The
@@ -24,17 +17,18 @@ thread_local! {
     /// (two small allocations) at a *nondeterministic* time while parked
     /// waiting for the test thread — without this gate, that init lands
     /// inside a measured window once in a few runs and flakes the audit.
-    /// Const-initialized TLS is allocation-free to access.
     static TRACKING: Cell<bool> = const { Cell::new(false) };
+    /// Allocations made by this thread since it opted in. Per-thread, so
+    /// audits running in parallel never see each other's allocations.
+    /// Const-initialized TLS is allocation-free to access, and a plain
+    /// `Cell` keeps the allocator clear of any synchronization.
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
 }
 
 fn count_if_tracking() {
     let _ = TRACKING.try_with(|t| {
         if t.get() {
-            // ordering: Relaxed — a statistics tally; the audits read it
-            // from the same thread that increments it, and cross-thread
-            // counts only need each increment to land (RMW atomicity).
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+            let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
         }
     });
 }
@@ -64,11 +58,10 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
-/// Reads the counter, opting the calling thread into tracking — the
-/// audits read it immediately before the measured window, so everything
-/// the test thread allocates from then on is counted.
+/// Reads the calling thread's counter, opting the thread into tracking —
+/// the audits read it immediately before the measured window, so
+/// everything the test thread allocates from then on is counted.
 fn allocation_count() -> usize {
     TRACKING.with(|t| t.set(true));
-    // ordering: Relaxed — same-thread read of a statistics counter.
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
