@@ -14,6 +14,16 @@ run() {
 run cargo build --release --workspace --offline --locked
 run cargo test -q --workspace --offline --locked
 run cargo test -q --doc --workspace --offline --locked
+# The portable kernel path: every step above builds with target-cpu=native,
+# which on an AVX2 + FMA host scores gemv/gather_dots with the eight-row
+# intrinsics of bns_model::kernel. A baseline x86-64 build (no AVX2, no
+# FMA) compiles and tests the portable path, which is what runs on every
+# other target, and checks its golden digests in tests/golden_bits.rs. Its
+# own target dir keeps the native build cache intact.
+RUSTFLAGS="-C target-cpu=x86-64" \
+    run cargo test -q -p bns-model --offline --locked --target-dir target/portable
+RUSTFLAGS="-C target-cpu=x86-64" \
+    run cargo test -q -p bns --test golden_bits --offline --locked --target-dir target/portable
 # The benchmark is its own workspace (benchmark/Cargo.toml) built against
 # the library crates' public API: building and unit-testing it here turns
 # an API change that breaks it into a CI failure.

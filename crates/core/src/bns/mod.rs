@@ -22,13 +22,15 @@
 //! candidates are drawn first, `pos` and the candidates are scored with a
 //! single [`Scorer::score_items`] gather, and all m ECDF counts of Eq. (16)
 //! are produced by [`fused_ecdf_counts`] — each catalog item is scored once
-//! (in L1-resident blocks, via the unrolled kernels of
+//! (in L1-resident blocks of contiguous ids, via the kernels of
 //! `bns_model::kernel`) and compared against all m candidate thresholds
-//! in-register. No `n_items`-sized buffer is ever written or re-read. One
-//! draw is still linear in the catalog — the paper's complexity claim —
-//! but touches each item-embedding row exactly once
-//! (`crates/bench/benches/fused_draw.rs` measures the speedup against the
-//! pre-fused reference).
+//! in-register. The user's positives are scored with their block and then
+//! subtracted from the counts, from the scores already in the block
+//! buffer, so the walk does no per-item membership test. No
+//! `n_items`-sized buffer is ever written or re-read. One draw is still
+//! linear in the catalog — the paper's complexity claim — but touches each
+//! item-embedding row exactly once (`crates/bench/benches/fused_draw.rs`
+//! measures the speedup against the pre-fused reference).
 
 pub mod prior;
 pub mod risk;
@@ -65,11 +67,9 @@ pub struct EcdfScratch {
 }
 
 impl EcdfScratch {
-    /// Scores the pending block and folds it into the threshold counters.
-    fn flush(&mut self, scorer: &dyn Scorer, u: u32, thresholds: &[f32], counts: &mut [u32]) {
-        if self.ids.is_empty() {
-            return;
-        }
+    /// Scores the block in `ids` into `scores` and adds it to the threshold
+    /// counters. The scores stay in `scores` for the positive correction.
+    fn score_block(&mut self, scorer: &dyn Scorer, u: u32, thresholds: &[f32], counts: &mut [u32]) {
         self.scores.clear();
         self.scores.resize(self.ids.len(), 0.0);
         scorer.score_items(u, &self.ids, &mut self.scores);
@@ -82,7 +82,6 @@ impl EcdfScratch {
             }
             *count += c;
         }
-        self.ids.clear();
     }
 }
 
@@ -90,20 +89,23 @@ impl EcdfScratch {
 /// catalog.
 ///
 /// Fills `counts[c] = #{scanned items with x̂ᵤᵢ ≤ thresholds[c]}` and
-/// returns the number of items scanned (the cdf denominator):
+/// returns the number of items scanned (the cdf denominator). Both
+/// strategies scan only the user's un-interacted items `I⁻ᵤ`:
 ///
-/// * [`EcdfStrategy::Exact`] scans exactly the user's un-interacted items
-///   `I⁻ᵤ` (training positives are skipped during the walk), returning
-///   `|I⁻ᵤ|` — the exact Eq. (16) numerators and denominator.
-/// * [`EcdfStrategy::Subsample`] scans a fixed-stride subsample of the
-///   whole catalog (positives included, as in the original subsampled
-///   scan — the DKW error dominates the positive contamination) and
-///   returns the subsample size.
+/// * [`EcdfStrategy::Exact`] scans all of `I⁻ᵤ`, returning
+///   `n_items − |I⁺ᵤ|` — the exact Eq. (16) numerators and denominator.
+/// * [`EcdfStrategy::Subsample`] scans the items of `I⁻ᵤ` on a fixed
+///   stride of about `n_items / k` ids and returns how many there are.
 ///
-/// Items are scored through [`Scorer::score_items`] in `ECDF_BLOCK`-sized (256-item)
-/// blocks and compared against all thresholds while the block is hot, so
-/// no catalog-sized buffer exists anywhere. Scores are bitwise identical
-/// to `score`/`score_all` (the kernel contract), which keeps these counts
+/// The walk scores the stride's ids in blocks of `ECDF_BLOCK` (256)
+/// through [`Scorer::score_items`] — contiguous id ranges under `Exact` —
+/// and counts every score of the block against all thresholds while the
+/// block is hot, positives included. It then takes the block's positives
+/// back out of the counts, using their scores already in the block
+/// buffer, so no per-item membership test runs and no catalog-sized
+/// buffer exists anywhere. Counts are integers, so this equals skipping
+/// the positives during the walk. Scores are bitwise identical to
+/// `score`/`score_all` (the kernel contract), which keeps these counts
 /// exactly equal to m independent scans of a precomputed rating vector —
 /// property-tested in `tests/proptests.rs`.
 ///
@@ -123,47 +125,42 @@ pub fn fused_ecdf_counts(
 ) -> usize {
     counts.clear();
     counts.resize(thresholds.len(), 0);
-    scratch.ids.clear();
-    let n_items = train.n_items();
-    let exact = match strategy {
-        EcdfStrategy::Exact => true,
-        // A subsample at least as large as the catalog is the exact scan.
-        EcdfStrategy::Subsample(k) => k >= n_items as usize,
-    };
-    let mut scanned = 0usize;
-    if exact {
-        let positives = train.items_of(u);
-        let mut pos_idx = 0usize;
-        for i in 0..n_items {
-            if pos_idx < positives.len() && positives[pos_idx] == i {
-                pos_idx += 1;
-                continue;
-            }
-            scratch.ids.push(i);
-            scanned += 1;
-            if scratch.ids.len() == ECDF_BLOCK {
-                scratch.flush(scorer, u, thresholds, counts);
-            }
-        }
-    } else {
-        let EcdfStrategy::Subsample(k) = strategy else {
-            unreachable!("non-exact strategy is Subsample");
-        };
+    let n_items = train.n_items() as usize;
+    let stride = match strategy {
+        EcdfStrategy::Exact => 1,
         // Fixed-stride subsample: deterministic, cache-friendly and
-        // unbiased for exchangeable score layouts.
-        assert!(k > 0, "ECDF subsample size must be > 0");
-        let stride = (n_items as usize).div_ceil(k) as u32;
-        let mut i = 0u32;
-        while i < n_items {
-            scratch.ids.push(i);
-            scanned += 1;
-            if scratch.ids.len() == ECDF_BLOCK {
-                scratch.flush(scorer, u, thresholds, counts);
-            }
-            i += stride;
+        // unbiased for exchangeable score layouts. A subsample at least as
+        // large as the catalog is the exact scan.
+        EcdfStrategy::Subsample(k) => {
+            assert!(k > 0, "ECDF subsample size must be > 0");
+            n_items.div_ceil(k).max(1)
         }
+    };
+    let mut positives = train.items_of(u).iter().peekable();
+    let mut scanned = 0usize;
+    let mut first = 0usize;
+    while first < n_items {
+        let end = (first + ECDF_BLOCK * stride).min(n_items);
+        scratch.ids.clear();
+        scratch
+            .ids
+            .extend((first as u32..end as u32).step_by(stride));
+        scratch.score_block(scorer, u, thresholds, counts);
+        scanned += scratch.ids.len();
+        // Take the block's positives back out: the ones on the stride were
+        // counted above, with their scores at `(p − first) / stride`.
+        while let Some(&p) = positives.next_if(|&&p| (p as usize) < end) {
+            let offset = p as usize - first;
+            if offset.is_multiple_of(stride) {
+                let s = scratch.scores[offset / stride];
+                for (count, &t) in counts.iter_mut().zip(thresholds) {
+                    *count -= u32::from(s <= t);
+                }
+                scanned -= 1;
+            }
+        }
+        first = end;
     }
-    scratch.flush(scorer, u, thresholds, counts);
     scanned
 }
 
@@ -191,7 +188,8 @@ pub enum Criterion {
 pub enum EcdfStrategy {
     /// Exact Eq. (16): scan all of the user's un-interacted item scores.
     Exact,
-    /// Scan a fixed-stride subsample of about this many items; justified by
+    /// Scan a fixed-stride subsample of about this many catalog ids,
+    /// skipping the user's positives that fall on the stride; justified by
     /// the Glivenko–Cantelli/DKW bound the paper itself invokes. This is a
     /// performance knob for very large catalogs (ablated in the benches).
     Subsample(usize),

@@ -244,14 +244,29 @@ proptest! {
     /// independent `EcdfStrategy::Exact` scans of a precomputed rating
     /// vector, for arbitrary score tables, positive masks and candidate
     /// (threshold) sets — the correctness contract of the fused BNS draw.
+    /// Catalogs reach past four 256-item blocks; `edges` puts positives on
+    /// the block edges 0, 255, 256 and n − 1, and `saturate == 0` makes
+    /// every item a positive (nothing left to scan).
     #[test]
     fn fused_ecdf_counts_match_independent_exact_scans(
-        scores in prop::collection::vec(-10.0f32..10.0, 1..400),
-        positives in prop::collection::btree_set(0u32..400, 0..40),
-        thresholds in prop::collection::vec(0usize..400, 1..8),
+        scores in prop::collection::vec(-10.0f32..10.0, 1..1100),
+        positives in prop::collection::btree_set(0u32..1100, 0..60),
+        edges in 0u32..16,
+        saturate in 0u32..12,
+        thresholds in prop::collection::vec(0usize..1100, 1..8),
     ) {
         let n_items = scores.len() as u32;
-        let positives: Vec<u32> = positives.into_iter().filter(|&p| p < n_items).collect();
+        let mut positives: std::collections::BTreeSet<u32> =
+            positives.into_iter().filter(|&p| p < n_items).collect();
+        for (bit, p) in [0, 255, 256, n_items - 1].into_iter().enumerate() {
+            if edges >> bit & 1 == 1 && p < n_items {
+                positives.insert(p);
+            }
+        }
+        if saturate == 0 {
+            positives.extend(0..n_items);
+        }
+        let positives: Vec<u32> = positives.into_iter().collect();
         let pairs: Vec<(u32, u32)> = positives.iter().map(|&p| (0, p)).collect();
         let train = Interactions::from_pairs(1, n_items, &pairs).unwrap();
         let scorer = FixedScorer::new(1, n_items, scores.clone());
@@ -291,14 +306,22 @@ proptest! {
         }
     }
 
+    /// The subsampled pass scans the fixed stride over `I⁻ᵤ`: the strided
+    /// reference with the same positive correction as the exact one.
     #[test]
     fn fused_subsample_matches_strided_reference(
         scores in prop::collection::vec(-5.0f32..5.0, 2..300),
+        positives in prop::collection::btree_set(0u32..300, 0..30),
         k in 1usize..64,
         t_idx in 0usize..300,
     ) {
         let n_items = scores.len() as u32;
-        let train = Interactions::from_pairs(1, n_items, &[(0, 0)]).unwrap();
+        // Item 0 is always a positive, and always on the stride.
+        let positives: Vec<u32> = std::iter::once(0)
+            .chain(positives.into_iter().filter(|&p| p > 0 && p < n_items))
+            .collect();
+        let pairs: Vec<(u32, u32)> = positives.iter().map(|&p| (0, p)).collect();
+        let train = Interactions::from_pairs(1, n_items, &pairs).unwrap();
         let scorer = FixedScorer::new(1, n_items, scores.clone());
         let x = scores[t_idx % scores.len()];
 
@@ -314,24 +337,22 @@ proptest! {
             &mut scratch,
         );
 
+        // The strided reference over the full score vector, minus the
+        // positives that fall on the stride.
+        let stride = scores.len().div_ceil(k);
+        let on_stride: Vec<usize> = (0..scores.len()).step_by(stride).collect();
+        let all_le = on_stride.iter().filter(|&&i| scores[i] <= x).count();
+        let pos_on_stride: Vec<usize> = positives
+            .iter()
+            .map(|&p| p as usize)
+            .filter(|p| p % stride == 0)
+            .collect();
+        let pos_le = pos_on_stride.iter().filter(|&&p| scores[p] <= x).count();
+        prop_assert_eq!(scanned, on_stride.len() - pos_on_stride.len());
+        prop_assert_eq!(counts[0] as usize, all_le - pos_le);
         if k >= scores.len() {
             // Degenerates to the exact scan over I⁻ᵤ.
-            prop_assert_eq!(scanned, scores.len() - 1);
-        } else {
-            // The original strided reference over the full score vector.
-            let stride = scores.len().div_ceil(k);
-            let mut c = 0usize;
-            let mut n = 0usize;
-            let mut idx = 0usize;
-            while idx < scores.len() {
-                if scores[idx] <= x {
-                    c += 1;
-                }
-                n += 1;
-                idx += stride;
-            }
-            prop_assert_eq!(scanned, n);
-            prop_assert_eq!(counts[0] as usize, c);
+            prop_assert_eq!(scanned, scores.len() - positives.len());
         }
     }
 
